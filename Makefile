@@ -7,6 +7,7 @@
 #   make bench-routing # cold/warm routing-epoch suite incl. the N=2000 point, one iteration each
 #   make bench-shard # federated-Brain epoch benchmarks, one iteration each
 #   make bench-check # hot-path alloc regression guard vs BENCH_9.json (part of make ci)
+#   make bench-selftest # the lnbench benchmark module's own tests (part of make ci)
 #   make bench-json # perfbench suite -> BENCH_9.json snapshot (minutes)
 #   make quick      # scaled-down end-to-end evaluation report
 #   make macro-1m   # cohort-engine scale smoke: quarter-million-viewer macro pair
@@ -17,11 +18,11 @@
 
 GO ?= go
 
-.PHONY: all ci vet build test race race-dataplane bench bench-smoke bench-routing bench-shard bench-check bench-json quick macro-1m chaos chaos-migrate telemetry docs
+.PHONY: all ci vet build test race race-dataplane bench bench-smoke bench-routing bench-shard bench-check bench-selftest bench-json quick macro-1m chaos chaos-migrate telemetry docs
 
 all: ci
 
-ci: vet build race race-dataplane chaos chaos-migrate docs bench-smoke bench-check macro-1m
+ci: vet build race race-dataplane chaos chaos-migrate docs bench-smoke bench-check bench-selftest macro-1m
 
 vet:
 	$(GO) vet ./...
@@ -53,7 +54,7 @@ bench:
 # Routing/perf suite smoke: the routing-epoch suite plus the data-plane
 # and allocation-diet benchmarks, one iteration each.
 bench-smoke: bench-shard bench-routing
-	$(GO) test -run xxx -bench 'BenchmarkBrainLookup|BenchmarkGraphNeighborWeights|BenchmarkLoopSchedule|BenchmarkNetemSend|BenchmarkNodeForwardFanout|BenchmarkUDPLoopback' -benchtime 1x .
+	$(GO) test -run xxx -bench 'BenchmarkBrainLookup|BenchmarkBrainLookupUnderReports|BenchmarkGraphNeighborWeights|BenchmarkLoopSchedule|BenchmarkNetemSend|BenchmarkNodeForwardFanout|BenchmarkUDPLoopback' -benchtime 1x .
 
 # Routing-epoch smoke: the cold (from-scratch) epochs at N=600 and
 # N=2000, the incremental churn round, and the KSP micro-benchmarks —
@@ -67,6 +68,11 @@ bench-routing:
 # prefetch completes and reports the per-shard discovery fan-in.
 bench-shard:
 	$(GO) test -run xxx -bench 'BenchmarkBrainFederatedEpoch|BenchmarkBrainFederatedChurn' -benchtime 1x .
+
+# Benchmark self-tests: lnbench is its own module (root ./... never
+# sees it), so its statistics and receive-timestamp tests run here.
+bench-selftest:
+	cd lnbench && $(GO) test ./...
 
 # Perfbench snapshot: run the suite at full benchtime through
 # cmd/livenet-bench and write BENCH_9.json for cross-PR comparison.

@@ -411,6 +411,10 @@ func BenchmarkUDPLoopbackBatchRelay(b *testing.B) { perfbench.UDPLoopbackBatchRe
 // the memoized decision cache (one outer-slice copy per call).
 func BenchmarkBrainLookup(b *testing.B) { perfbench.BrainLookup(b) }
 
+// BenchmarkBrainLookupUnderReports is the same serve path on the
+// 600-site fleet with Global Discovery reports landing between lookups.
+func BenchmarkBrainLookupUnderReports(b *testing.B) { perfbench.BrainLookupUnderReports(b) }
+
 // BenchmarkNodeForward measures the node's fast forwarding path
 // (broadcaster ingress -> classify -> fan-out -> pacer drain) with the
 // telemetry registry disabled and enabled: the on/off delta in allocs/op

@@ -65,6 +65,9 @@ const invalidateDenom = 8
 // ErrUnknownStream is returned when the SIB has no producer for a stream.
 var ErrUnknownStream = errors.New("brain: unknown stream")
 
+// ErrUnknownNode is returned when a lookup names a node outside 0..N-1.
+var ErrUnknownNode = errors.New("brain: unknown node")
+
 // Config configures the Brain.
 type Config struct {
 	// N is the number of overlay nodes (IDs 0..N-1).
@@ -257,6 +260,20 @@ func New(cfg Config) *Brain {
 		b.scheduleAge()
 	}
 	return b
+}
+
+// admit reports whether every id names an overlay node (0..N-1). Node IDs
+// arrive from the wire, so each entry point checks them before they index
+// the view; a call naming anything else is dropped and counted in
+// brain.rejected.
+func (b *Brain) admit(ids ...int) bool {
+	for _, id := range ids {
+		if id < 0 || id >= b.cfg.N {
+			b.tel.rejected.Inc()
+			return false
+		}
+	}
+	return true
 }
 
 // owns reports whether this Brain is responsible for node id's liveness.
@@ -508,7 +525,7 @@ func (b *Brain) buildProbesLocked() []probe {
 		}
 		return roots[a].id < roots[c].id
 	})
-	b.view.MaterializeWeights() // both row directions: workers only read
+	b.view.MaterializeWeights() // compact pending inserts: workers only read
 	arenas := b.arenasLocked()
 	nw, inw := b.view.NeighborWeights, b.view.InNeighborWeights
 	dists, _ := runner.MapW(b.cfg.Recompute, roots, func(w int, r root) []float64 {
@@ -573,6 +590,9 @@ func (b *Brain) entryStaleLocked(k pairKey, e *pibEntry, probes []probe) bool {
 // a previously-down link revives it immediately (the affected PIB entries
 // are invalidated so recomputed paths may use it again).
 func (b *Brain) ReportLink(from, to int, rtt time.Duration, loss, util float64) {
+	if !b.admit(from, to) {
+		return
+	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	wasDown := false
@@ -596,6 +616,9 @@ func (b *Brain) ReportLink(from, to int, rtt time.Duration, loss, util float64) 
 // ReportLinkDown ingests an immediate link-failure report (a neighbor's
 // probes time out, §4.2): the link is excluded from routing at once.
 func (b *Brain) ReportLinkDown(from, to int) {
+	if !b.admit(from, to) {
+		return
+	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.view.SetLinkDown(from, to, true) {
@@ -607,6 +630,9 @@ func (b *Brain) ReportLinkDown(from, to int) {
 // ReportNodeDown ingests an immediate node-failure report; ReportNodeLoad
 // (or staleness recovery) revives the node.
 func (b *Brain) ReportNodeDown(id int) {
+	if !b.admit(id) {
+		return
+	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.view.SetNodeDown(id, true) {
@@ -617,6 +643,9 @@ func (b *Brain) ReportNodeDown(id int) {
 
 // ReportNodeLoad ingests a node's combined load metric (§4.2 footnote 4).
 func (b *Brain) ReportNodeLoad(id int, util float64) {
+	if !b.admit(id) {
+		return
+	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.view.SetNodeUtil(id, util) {
@@ -638,6 +667,9 @@ func (b *Brain) ReportNodeLoad(id int, util float64) {
 // Decision's validity filter reject paths through it at once — the bump
 // in graph version expires every cached decision.
 func (b *Brain) OverloadAlarm(id int, util float64) {
+	if !b.admit(id) {
+		return
+	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.tel.overloadAlarms.Inc()
@@ -648,6 +680,9 @@ func (b *Brain) OverloadAlarm(id int, util float64) {
 
 // LinkOverloadAlarm is the link-level variant.
 func (b *Brain) LinkOverloadAlarm(from, to int, util float64) {
+	if !b.admit(from, to) {
+		return
+	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.tel.overloadAlarms.Inc()
@@ -668,8 +703,12 @@ func (b *Brain) View() *graph.Graph {
 
 // --- Stream Management ---
 
-// RegisterStream records a stream's producer node in the SIB.
+// RegisterStream records a stream's producer node in the SIB; a
+// producer outside 0..N-1 is dropped.
 func (b *Brain) RegisterStream(sid uint32, producer int) {
+	if !b.admit(producer) {
+		return
+	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.sib[sid] = producer
@@ -699,8 +738,12 @@ func (b *Brain) Producer(sid uint32) (int, bool) {
 // preference. Paths with overloaded links/nodes are deleted (IsInvalid);
 // when none survive, a last-resort path through a reserved relay is
 // returned. The outer slice is the caller's to keep; the inner path
-// slices are shared immutable data and must not be modified.
+// slices are shared immutable data and must not be modified. A consumer
+// outside 0..N-1 gets ErrUnknownNode.
 func (b *Brain) Lookup(sid uint32, consumer int) ([][]int, error) {
+	if !b.admit(consumer) {
+		return nil, ErrUnknownNode
+	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.tel.lookups.Inc()
@@ -714,6 +757,9 @@ func (b *Brain) Lookup(sid uint32, consumer int) ([][]int, error) {
 // LookupByProducer is like Lookup but bypasses the SIB (used for
 // prefetching and the Hier baseline comparison harness).
 func (b *Brain) LookupByProducer(producer, consumer int) [][]int {
+	if !b.admit(producer, consumer) {
+		return nil
+	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.pathsLocked(producer, consumer)
@@ -778,6 +824,9 @@ func (b *Brain) pathDrainingLocked(path []int) bool {
 // view version is bumped so memoized decisions made before the change
 // expire immediately.
 func (b *Brain) SetDraining(id int, v bool) {
+	if !b.admit(id) {
+		return
+	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.draining[id] == v {
@@ -923,7 +972,7 @@ type recomputeJob struct {
 // recomputeMissingLocked computes PIB entries for every listed (src,dsts)
 // group, fanning the per-producer jobs out across the runner pool and
 // merging results in deterministic (src, dst) order. Workers only read
-// the graph: weight rows are materialized up front and every consumer's
+// the graph: pending edges are compacted up front and every consumer's
 // reverse-distance heuristic is precomputed before the fan-out, so the
 // parallel schedule is byte-identical to the serial one. Each worker
 // runs its searches on its own pinned arena — the steady state of a
@@ -937,7 +986,7 @@ func (b *Brain) recomputeMissingLocked(jobs []recomputeJob) {
 	if b.dense {
 		b.denseWeightsLocked() // build once; workers then read it
 	} else {
-		b.view.MaterializeWeights()
+		b.view.MaterializeWeights() // weight rows are current; compact only
 		for i := range jobs {
 			if te, ok := b.trees[jobs[i].src]; ok && te.version == version {
 				jobs[i].tree, jobs[i].has = te.tree, true

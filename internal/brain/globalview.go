@@ -21,6 +21,7 @@ type brainInstruments struct {
 	invalidateFull        *telemetry.Counter
 	lastResortUsed        *telemetry.Counter
 	overloadAlarms        *telemetry.Counter
+	rejected              *telemetry.Counter
 	streamsActive         *telemetry.Gauge
 }
 
@@ -34,6 +35,7 @@ func newBrainInstruments(r *telemetry.Registry) brainInstruments {
 		invalidateFull:        r.Counter("brain.pib_invalidate_full"),
 		lastResortUsed:        r.Counter("brain.last_resort_used"),
 		overloadAlarms:        r.Counter("brain.overload_alarms"),
+		rejected:              r.Counter("brain.rejected"),
 		streamsActive:         r.Gauge("brain.streams_active"),
 	}
 }
@@ -44,6 +46,9 @@ func newBrainInstruments(r *telemetry.Registry) brainInstruments {
 // it does not advance the routing epoch or touch the PIB, so attaching
 // telemetry never changes path decisions.
 func (b *Brain) ReportNodeTelemetry(id int, snap telemetry.Snapshot, streams []uint32) {
+	if !b.admit(id) {
+		return
+	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.nodeTel == nil {

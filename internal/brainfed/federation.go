@@ -171,6 +171,10 @@ type Federation struct {
 	shards []*brain.Brain
 	groups []*shardGroup // per-shard Paxos groups; nil without replication
 
+	// rejected is the shards' brain.rejected counter (same registry): the
+	// front-end maps node IDs to shards, so it validates them first.
+	rejected *telemetry.Counter
+
 	mu          sync.Mutex
 	sib         map[uint32]int
 	down        []bool
@@ -213,6 +217,7 @@ func New(cfg Config) *Federation {
 		cfg:         cfg,
 		part:        p,
 		tel:         newFedInstruments(cfg.Telemetry),
+		rejected:    cfg.Brain.Telemetry.Counter("brain.rejected"),
 		sib:         make(map[uint32]int),
 		down:        make([]bool, p.Shards()),
 		stitchCache: make(map[pairKey][][]int),
@@ -290,11 +295,26 @@ func (f *Federation) EpochTimes() []time.Duration {
 	return append([]time.Duration(nil), f.epochTimes...)
 }
 
-// sink returns the shard that should ingest a report from node id, or
-// -1 when that shard is unreachable (report dropped, like the lost
-// UDP datagram it would be).
-func (f *Federation) sink(id int) int {
-	s := f.part.ShardOf(id)
+// admit reports whether every id names a fleet node; otherwise the call
+// is counted in brain.rejected and dropped.
+func (f *Federation) admit(ids ...int) bool {
+	for _, id := range ids {
+		if id < 0 || id >= f.part.N {
+			f.rejected.Inc()
+			return false
+		}
+	}
+	return true
+}
+
+// sink returns the shard that should ingest a report from node ids[0]
+// (naming ids), or -1 when an id is out of range or that shard is
+// unreachable (report dropped, like the lost UDP datagram it would be).
+func (f *Federation) sink(ids ...int) int {
+	if !f.admit(ids...) {
+		return -1
+	}
+	s := f.part.ShardOf(ids[0])
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.down[s] {
@@ -306,7 +326,7 @@ func (f *Federation) sink(id int) int {
 
 // ReportLink ingests a link measurement from its probing node's shard.
 func (f *Federation) ReportLink(from, to int, rtt time.Duration, loss, util float64) {
-	if s := f.sink(from); s >= 0 {
+	if s := f.sink(from, to); s >= 0 {
 		f.tel.reports.Inc()
 		f.shards[s].ReportLink(from, to, rtt, loss, util)
 	}
@@ -314,7 +334,7 @@ func (f *Federation) ReportLink(from, to int, rtt time.Duration, loss, util floa
 
 // ReportLinkDown ingests a link-failure report.
 func (f *Federation) ReportLinkDown(from, to int) {
-	if s := f.sink(from); s >= 0 {
+	if s := f.sink(from, to); s >= 0 {
 		f.tel.reports.Inc()
 		f.shards[s].ReportLinkDown(from, to)
 	}
@@ -358,7 +378,7 @@ func (f *Federation) OverloadAlarm(id int, util float64) {
 
 // LinkOverloadAlarm forwards a link overload alarm to the prober's shard.
 func (f *Federation) LinkOverloadAlarm(from, to int, util float64) {
-	if s := f.sink(from); s >= 0 {
+	if s := f.sink(from, to); s >= 0 {
 		f.tel.reports.Inc()
 		f.shards[s].LinkOverloadAlarm(from, to, util)
 	}
@@ -375,6 +395,9 @@ func (f *Federation) ReportNodeTelemetry(id int, snap telemetry.Snapshot, stream
 // RegisterStream records the stream in the federation SIB and the
 // producer's shard (through its Paxos group when replicated).
 func (f *Federation) RegisterStream(sid uint32, producer int) {
+	if !f.admit(producer) {
+		return
+	}
 	f.mu.Lock()
 	f.sib[sid] = producer
 	f.mu.Unlock()
@@ -415,6 +438,9 @@ func (f *Federation) Producer(sid uint32) (int, bool) {
 // shard's Path Decision, cross-shard requests by gateway stitching (or
 // the fallback ladder when a shard is partitioned away).
 func (f *Federation) Lookup(sid uint32, consumer int) ([][]int, error) {
+	if !f.admit(consumer) {
+		return nil, brain.ErrUnknownNode
+	}
 	f.mu.Lock()
 	producer, ok := f.sib[sid]
 	f.mu.Unlock()
@@ -427,6 +453,9 @@ func (f *Federation) Lookup(sid uint32, consumer int) ([][]int, error) {
 // LookupByProducer mirrors Brain.LookupByProducer (errors collapse to
 // no-paths, sending the node to its local path cache).
 func (f *Federation) LookupByProducer(producer, consumer int) [][]int {
+	if !f.admit(producer, consumer) {
+		return nil
+	}
 	paths, _ := f.lookupPath(producer, consumer)
 	return paths
 }
@@ -861,6 +890,9 @@ func (f *Federation) RecoverStitchCache() int {
 // may route a stitched segment through the node, so the exclusion must
 // be federation-wide.
 func (f *Federation) SetDraining(id int, v bool) {
+	if !f.admit(id) {
+		return
+	}
 	for _, sh := range f.shards {
 		sh.SetDraining(id, v)
 	}

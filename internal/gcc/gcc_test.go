@@ -1,6 +1,7 @@
 package gcc
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 )
@@ -329,6 +330,83 @@ func TestPacerQueueDelayAndDrop(t *testing.T) {
 	}
 	if p.QueueBytes() != 0 || p.QueueLen() != 0 {
 		t.Fatal("queue not empty after drop")
+	}
+}
+
+// TestPacerMatchesShiftQueueModel interleaves pushes, partial drains and
+// both drop calls, so drops and pushes land on queues whose head has
+// advanced, and checks every emitted and dropped item against a plain
+// per-class FIFO model.
+func TestPacerMatchesShiftQueueModel(t *testing.T) {
+	for seed := int64(1); seed <= 30; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		p := NewPacer[int](2e6)
+		var model [numClasses][]Item[int]
+		modelBytes := 0
+		next, now := 0, time.Duration(0)
+		for step := 0; step < 500; step++ {
+			switch op := rng.Intn(10); {
+			case op < 6:
+				it := Item[int]{Class: Class(rng.Intn(int(numClasses))), Size: 100 + rng.Intn(1400), Payload: next}
+				next++
+				p.Push(it)
+				model[it.Class] = append(model[it.Class], it)
+				modelBytes += it.Size
+			case op < 8:
+				now += time.Duration(rng.Intn(8)) * ms
+				p.Drain(now, func(it Item[int]) {
+					c := 0
+					for len(model[c]) == 0 {
+						c++
+					}
+					if want := model[c][0]; it != want {
+						t.Fatalf("seed %d step %d: emitted %+v, want %+v", seed, step, it, want)
+					}
+					model[c] = model[c][1:]
+					modelBytes -= it.Size
+				})
+			case op < 9:
+				c, mod := Class(rng.Intn(int(numClasses))), 2+rng.Intn(3)
+				var kept []Item[int]
+				want := 0
+				for _, it := range model[c] {
+					if it.Payload%mod == 1 {
+						want += it.Size
+					} else {
+						kept = append(kept, it)
+					}
+				}
+				model[c] = kept
+				modelBytes -= want
+				if got := p.DropClassFunc(c, func(it Item[int]) bool { return it.Payload%mod == 1 }); got != want {
+					t.Fatalf("seed %d step %d: DropClassFunc dropped %d bytes, want %d", seed, step, got, want)
+				}
+			default:
+				c := Class(rng.Intn(int(numClasses)))
+				i := 0
+				p.DropClass(c, func(it Item[int]) {
+					if it != model[c][i] {
+						t.Fatalf("seed %d step %d: DropClass saw %+v, want %+v", seed, step, it, model[c][i])
+					}
+					i++
+				})
+				for _, it := range model[c] {
+					modelBytes -= it.Size
+				}
+				if i != len(model[c]) {
+					t.Fatalf("seed %d step %d: DropClass saw %d items, want %d", seed, step, i, len(model[c]))
+				}
+				model[c] = nil
+			}
+			n := 0
+			for _, q := range model {
+				n += len(q)
+			}
+			if p.QueueLen() != n || p.QueueBytes() != modelBytes {
+				t.Fatalf("seed %d step %d: queue %d items / %d B, want %d / %d",
+					seed, step, p.QueueLen(), p.QueueBytes(), n, modelBytes)
+			}
+		}
 	}
 }
 

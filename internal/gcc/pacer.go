@@ -47,7 +47,12 @@ type Item[T any] struct {
 // controller decides. It is a pull-based token bucket: the node calls
 // Drain on a timer and sends whatever the budget allows, in class order.
 type Pacer[T any] struct {
+	// queues[c][heads[c]:] are class c's queued items, oldest first: pop
+	// advances the head instead of shifting the slice, and the space is
+	// reclaimed when the queue empties (or slid down when a Push finds
+	// the slice full behind a popped prefix).
 	queues     [numClasses][]Item[T]
+	heads      [numClasses]int
 	queueBytes int
 
 	rateBps   float64
@@ -78,7 +83,13 @@ func (p *Pacer[T]) Rate() float64 { return p.rateBps }
 
 // Push enqueues an item.
 func (p *Pacer[T]) Push(it Item[T]) {
-	p.queues[it.Class] = append(p.queues[it.Class], it)
+	q, h := p.queues[it.Class], p.heads[it.Class]
+	if h > 0 && len(q) == cap(q) {
+		n := copy(q, q[h:])
+		clear(q[n:])
+		q, p.heads[it.Class] = q[:n], 0
+	}
+	p.queues[it.Class] = append(q, it)
 	p.queueBytes += it.Size
 }
 
@@ -88,8 +99,8 @@ func (p *Pacer[T]) QueueBytes() int { return p.queueBytes }
 // QueueLen returns the number of queued items.
 func (p *Pacer[T]) QueueLen() int {
 	n := 0
-	for _, q := range p.queues {
-		n += len(q)
+	for c, q := range p.queues {
+		n += len(q) - p.heads[c]
 	}
 	return n
 }
@@ -113,17 +124,15 @@ func (p *Pacer[T]) DropClassFunc(c Class, drop func(Item[T]) bool) int {
 	dropped := 0
 	q := p.queues[c]
 	kept := q[:0]
-	for i := range q {
+	for i := p.heads[c]; i < len(q); i++ {
 		if drop(q[i]) {
 			dropped += q[i].Size
 		} else {
 			kept = append(kept, q[i])
 		}
 	}
-	for i := len(kept); i < len(q); i++ {
-		q[i] = Item[T]{} // drop payload references
-	}
-	p.queues[c] = kept
+	clear(q[len(kept):]) // drop payload references
+	p.queues[c], p.heads[c] = kept, 0
 	p.queueBytes -= dropped
 	return dropped
 }
@@ -134,14 +143,15 @@ func (p *Pacer[T]) DropClassFunc(c Class, drop func(Item[T]) bool) int {
 // buffer references release them there.
 func (p *Pacer[T]) DropClass(c Class, onDrop func(Item[T])) int {
 	dropped := 0
-	for i := range p.queues[c] {
-		dropped += p.queues[c][i].Size
+	q := p.queues[c]
+	for i := p.heads[c]; i < len(q); i++ {
+		dropped += q[i].Size
 		if onDrop != nil {
-			onDrop(p.queues[c][i])
+			onDrop(q[i])
 		}
-		p.queues[c][i] = Item[T]{} // drop payload references
+		q[i] = Item[T]{} // drop payload references
 	}
-	p.queues[c] = p.queues[c][:0]
+	p.queues[c], p.heads[c] = q[:0], 0
 	p.queueBytes -= dropped
 	return dropped
 }
@@ -184,13 +194,15 @@ func (p *Pacer[T]) Drain(now time.Duration, emit func(Item[T])) {
 
 func (p *Pacer[T]) pop() (Item[T], bool) {
 	for c := range p.queues {
-		if n := len(p.queues[c]); n > 0 {
-			it := p.queues[c][0]
-			// Shift; amortized fine for short queues, and it keeps slices
-			// reusable.
-			copy(p.queues[c], p.queues[c][1:])
-			p.queues[c][n-1] = Item[T]{} // drop payload references
-			p.queues[c] = p.queues[c][:n-1]
+		q, h := p.queues[c], p.heads[c]
+		if h < len(q) {
+			it := q[h]
+			q[h] = Item[T]{} // drop payload references
+			if h+1 == len(q) {
+				p.queues[c], p.heads[c] = q[:0], 0
+			} else {
+				p.heads[c] = h + 1
+			}
 			p.queueBytes -= it.Size
 			return it, true
 		}

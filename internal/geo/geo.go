@@ -6,10 +6,9 @@
 package geo
 
 import (
-	"fmt"
-	"hash/fnv"
 	"math"
 	"sort"
+	"strconv"
 	"time"
 
 	"livenet/internal/sim"
@@ -264,9 +263,7 @@ func (w *World) transitPenalty(i, j int) time.Duration {
 		// cross-border traffic prefers edge→hub→hub→edge chains.
 		ms *= 1 + 1.3*(1-qi*qj)
 	}
-	h := fnv.New64a()
-	fmt.Fprintf(h, "transit:%d-%d", min(i, j), max(i, j))
-	ms += float64(h.Sum64() % 12)
+	ms += float64(pairHash("transit:", i, j) % 12)
 	return time.Duration(ms * float64(time.Millisecond))
 }
 
@@ -283,10 +280,26 @@ func (w *World) BaseLoss(i, j int) float64 {
 		base = 0.0008
 	}
 	// Deterministic per-pair variation so links differ but rebuilds agree.
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%d-%d", min(i, j), max(i, j))
-	frac := float64(h.Sum64()%1000) / 1000
+	frac := float64(pairHash("", i, j)%1000) / 1000
 	return base * (0.5 + frac)
+}
+
+// pairHash is the 64-bit FNV-1a hash of prefix followed by the unordered
+// pair as "min-max" in decimal, built on the stack: RTT and BaseLoss run
+// once per link of a 600-site world, so they must not allocate.
+func pairHash(prefix string, i, j int) uint64 {
+	var buf [64]byte
+	b := append(buf[:0], prefix...)
+	b = strconv.AppendInt(b, int64(min(i, j)), 10)
+	b = append(b, '-')
+	b = strconv.AppendInt(b, int64(max(i, j)), 10)
+	const offset64, prime64 = 14695981039346656037, 1099511628211
+	h := uint64(offset64)
+	for _, c := range b {
+		h ^= uint64(c)
+		h *= prime64
+	}
+	return h
 }
 
 // LocalHour returns the local hour-of-day [0,24) at longitude lon for the
@@ -358,13 +371,15 @@ func (w *World) NearestPeers(id, m int) []int {
 		return nil
 	}
 	ids := make([]int, 0, n-1)
+	rtt := make([]time.Duration, n)
 	for j := 0; j < n; j++ {
 		if j != id {
 			ids = append(ids, j)
+			rtt[j] = w.RTT(id, j)
 		}
 	}
 	sort.Slice(ids, func(a, b int) bool {
-		ra, rb := w.RTT(id, ids[a]), w.RTT(id, ids[b])
+		ra, rb := rtt[ids[a]], rtt[ids[b]]
 		if ra != rb {
 			return ra < rb
 		}

@@ -1,6 +1,9 @@
 package geo
 
 import (
+	"fmt"
+	"hash/fnv"
+	"sort"
 	"testing"
 	"testing/quick"
 	"time"
@@ -251,5 +254,97 @@ func TestNearestPeers(t *testing.T) {
 	}
 	if got := w.NearestPeers(3, 0); got != nil {
 		t.Fatalf("m=0: got %v, want nil", got)
+	}
+}
+
+// The reference formulas below are RTT, transitPenalty and BaseLoss as
+// first written, hashing through fmt.Fprintf into hash/fnv.
+
+func refTransitPenalty(w *World, i, j int) time.Duration {
+	qi, qj := w.peering[i], w.peering[j]
+	ms := 14 + 170*(1-qi)*(1-qj)
+	if w.Sites[i].Country != w.Sites[j].Country {
+		ms *= 1 + 1.3*(1-qi*qj)
+	}
+	h := fnv.New64a()
+	fmt.Fprintf(h, "transit:%d-%d", min(i, j), max(i, j))
+	ms += float64(h.Sum64() % 12)
+	return time.Duration(ms * float64(time.Millisecond))
+}
+
+func refRTT(w *World, i, j int) time.Duration {
+	if i == j {
+		return 500 * time.Microsecond
+	}
+	si, sj := w.Sites[i], w.Sites[j]
+	dist := haversineKm(si.Lat, si.Lon, sj.Lat, sj.Lon)
+	oneWayMs := dist / kmPerMsOneWay * w.inflation[i*len(w.Sites)+j]
+	rtt := time.Duration(2 * oneWayMs * float64(time.Millisecond))
+	rtt += refTransitPenalty(w, i, j)
+	if rtt < 4*time.Millisecond {
+		rtt = 4 * time.Millisecond
+	}
+	return rtt
+}
+
+func refBaseLoss(w *World, i, j int) float64 {
+	base := 0.0004
+	if w.Sites[i].Country != w.Sites[j].Country {
+		base = 0.0008
+	}
+	h := fnv.New64a()
+	fmt.Fprintf(h, "%d-%d", min(i, j), max(i, j))
+	return base * (0.5 + float64(h.Sum64()%1000)/1000)
+}
+
+// TestPairFormulasGolden pins RTT, BaseLoss and NearestPeers of a seeded
+// 600-site world to the reference formulas, for every pair: overlays
+// built from them (the 600-site Brain benchmarks among them) must not
+// move.
+func TestPairFormulasGolden(t *testing.T) {
+	const n = 600
+	w := testWorld(t, n)
+	rtt := make([]time.Duration, n*n)
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			rtt[i*n+j] = refRTT(w, i, j)
+			if got := w.RTT(i, j); got != rtt[i*n+j] {
+				t.Fatalf("RTT(%d,%d) = %v, want %v", i, j, got, rtt[i*n+j])
+			}
+			if got, want := w.BaseLoss(i, j), refBaseLoss(w, i, j); got != want {
+				t.Fatalf("BaseLoss(%d,%d) = %v, want %v", i, j, got, want)
+			}
+		}
+	}
+	for id := 0; id < n; id++ {
+		want := make([]int, 0, n-1)
+		for j := 0; j < n; j++ {
+			if j != id {
+				want = append(want, j)
+			}
+		}
+		sort.Slice(want, func(a, b int) bool {
+			ra, rb := rtt[id*n+want[a]], rtt[id*n+want[b]]
+			if ra != rb {
+				return ra < rb
+			}
+			return want[a] < want[b]
+		})
+		for _, m := range []int{8, 40} {
+			got := w.NearestPeers(id, m)
+			if fmt.Sprint(got) != fmt.Sprint(want[:m]) {
+				t.Fatalf("NearestPeers(%d, %d) = %v, want %v", id, m, got, want[:m])
+			}
+		}
+	}
+}
+
+func TestPairFormulasAllocateNothing(t *testing.T) {
+	w := testWorld(t, 64)
+	if a := testing.AllocsPerRun(100, func() {
+		_ = w.RTT(3, 41)
+		_ = w.BaseLoss(41, 3)
+	}); a != 0 {
+		t.Fatalf("RTT+BaseLoss allocate %v times per call pair, want 0", a)
 	}
 }

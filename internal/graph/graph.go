@@ -16,7 +16,9 @@
 // map. New edges land in a pending list and are compacted into the CSR
 // arrays lazily on the first row read; per-edge updates hit the edge
 // index map and mutate in place. A reverse CSR (in-edges) is maintained
-// for the Brain's bound checks, which run Dijkstra toward a node.
+// for the Brain's bound checks, which run Dijkstra toward a node. Every
+// compacted edge carries its Eq. 2 weight in both directions, patched by
+// the mutation that changes it, so weight reads never compute.
 package graph
 
 import (
@@ -48,9 +50,8 @@ type Link struct {
 
 // Graph is a directed overlay graph over nodes 0..N-1.
 // It is not safe for concurrent mutation; concurrent reads are safe once
-// the CSR arrays and weight rows are materialized (see
-// MaterializeWeights), which is how the Brain's parallel recompute reads
-// one view from many workers.
+// pending inserts are compacted (see MaterializeWeights), which is how
+// the Brain's parallel recompute reads one view from many workers.
 type Graph struct {
 	N int
 
@@ -67,30 +68,25 @@ type Graph struct {
 	pending []Link
 
 	// Reverse CSR (in-edges), rebuilt at compaction: rCols[e] is an
-	// in-neighbor of the row node and rSlot[e] the forward edge slot.
+	// in-neighbor of the row node and rSlot[e] the forward edge slot;
+	// fRev inverts rSlot (forward slot -> reverse slot).
 	rRowStart []int32
 	rCols     []int
 	rSlot     []int32
+	fRev      []int32
 
 	nodeUtil []float64 // combined node load metric in [0,1] (§4.2 footnote)
 	nodeDown []bool    // failed nodes: every incident link weighs +Inf
 
-	// Per-edge weight cache: wRow[e] is the Eq. 2 weight of edge slot e,
-	// valid for node i when wStamp[i] == version (the Brain mutates the
-	// view only between routing rounds, so rows survive a whole round of
-	// Dijkstra probes). rwStamp tracks per-node reverse rows in rW.
+	// Per-edge weights: wRow[s] is the Eq. 2 weight of compacted edge
+	// slot s and rW[fRev[s]] its reverse copy. compact() fills both; a
+	// link mutation patches its own slot and a node mutation its out- and
+	// in-row slots, so a one-link Global Discovery report costs one
+	// Sigmoid instead of a sweep over every row. Pending edges get their
+	// weights when they are compacted.
 	version uint64
 	wRow    []float64
-	wStamp  []uint64
 	rW      []float64
-	rwStamp []uint64
-
-	// matVer is the version both weight-row caches were last fully
-	// materialized at: MaterializeWeights is an O(1) no-op until the next
-	// effective mutation, so a batch caller (the Brain runs it before
-	// every epoch fan-out and every shard of the federation repeats it)
-	// pays the O(E) sweep once per version instead of once per call.
-	matVer uint64
 }
 
 func key(from, to int) int64 { return int64(from)<<32 | int64(uint32(to)) }
@@ -108,14 +104,12 @@ func New(n int) *Graph {
 		nodeUtil:  make([]float64, n),
 		nodeDown:  make([]bool, n),
 		version:   1,
-		wStamp:    make([]uint64, n),
-		rwStamp:   make([]uint64, n),
 	}
 }
 
 // Version is a counter bumped on every effective mutation (a report that
 // changes nothing does not advance it). The Brain stamps its caches —
-// weight rows, SSSP trees, filtered path decisions — with it.
+// SSSP trees, reverse distances, filtered path decisions — with it.
 func (g *Graph) Version() uint64 { return g.version }
 
 // BumpVersion advances the version without changing any metric. Callers
@@ -139,6 +133,7 @@ func (g *Graph) SetLink(from, to int, rtt time.Duration, loss, util float64) boo
 		g.version++
 		l.RTT, l.Loss, l.Util = rtt, loss, util
 		l.Down = false
+		g.reweigh(slot)
 		return true
 	}
 	g.version++
@@ -198,16 +193,35 @@ func (g *Graph) compact() {
 	}
 	g.rowStart, g.cols, g.links = rowStart, cols, links
 	g.pending = g.pending[:0]
+	g.buildReverse()
 	g.wRow = make([]float64, e)
 	g.rW = make([]float64, e)
-	for i := range g.wStamp {
-		g.wStamp[i] = 0
-		g.rwStamp[i] = 0
+	for s := range links {
+		g.reweigh(int32(s))
 	}
-	g.buildReverse()
 }
 
-// buildReverse rebuilds the reverse CSR from the forward arrays.
+// reweigh recomputes the cached weight of compacted edge slot s in both
+// row directions; pending slots are weighed when they are compacted.
+func (g *Graph) reweigh(s int32) {
+	if int(s) >= len(g.links) {
+		return
+	}
+	w := g.linkWeight(&g.links[s])
+	g.wRow[s], g.rW[g.fRev[s]] = w, w
+}
+
+// reweighNode recomputes every compacted edge incident to id.
+func (g *Graph) reweighNode(id int) {
+	for s := g.rowStart[id]; s < g.rowStart[id+1]; s++ {
+		g.reweigh(s)
+	}
+	for r := g.rRowStart[id]; r < g.rRowStart[id+1]; r++ {
+		g.reweigh(g.rSlot[r])
+	}
+}
+
+// buildReverse rebuilds the reverse CSR (and fRev) from the forward arrays.
 func (g *Graph) buildReverse() {
 	n, e := g.N, len(g.links)
 	deg := make([]int32, n)
@@ -220,6 +234,7 @@ func (g *Graph) buildReverse() {
 	}
 	rCols := make([]int, e)
 	rSlot := make([]int32, e)
+	fRev := make([]int32, e)
 	next := make([]int32, n)
 	copy(next, rRow[:n])
 	for i := 0; i < n; i++ {
@@ -229,9 +244,10 @@ func (g *Graph) buildReverse() {
 			next[to]++
 			rCols[at] = i
 			rSlot[at] = s
+			fRev[s] = at
 		}
 	}
-	g.rRowStart, g.rCols, g.rSlot = rRow, rCols, rSlot
+	g.rRowStart, g.rCols, g.rSlot, g.fRev = rRow, rCols, rSlot, fRev
 }
 
 // Link returns the directed link from→to, or nil. The pointer stays
@@ -258,6 +274,7 @@ func (g *Graph) SetNodeUtil(id int, u float64) bool {
 	}
 	g.version++
 	g.nodeUtil[id] = u
+	g.reweighNode(id)
 	return true
 }
 
@@ -267,12 +284,13 @@ func (g *Graph) NodeUtil(id int) float64 { return g.nodeUtil[id] }
 // SetLinkDown marks/clears failure state on the directed link from→to;
 // it reports whether the state changed.
 func (g *Graph) SetLinkDown(from, to int, down bool) bool {
-	l := g.Link(from, to)
-	if l == nil || l.Down == down {
+	slot, ok := g.eIdx[key(from, to)]
+	if !ok || g.linkAt(slot).Down == down {
 		return false
 	}
 	g.version++
-	l.Down = down
+	g.linkAt(slot).Down = down
+	g.reweigh(slot)
 	return true
 }
 
@@ -285,6 +303,7 @@ func (g *Graph) SetNodeDown(id int, down bool) bool {
 	}
 	g.version++
 	g.nodeDown[id] = down
+	g.reweighNode(id)
 	return true
 }
 
@@ -319,20 +338,13 @@ func (g *Graph) linkWeight(l *Link) float64 {
 	return expected * Sigmoid(u)
 }
 
-// NeighborWeights returns id's out-neighbors and their Eq. 2 weights from
-// the flat per-node weight row, rebuilding the row if the graph changed
-// since it was last computed. The returned slices are owned by the graph
-// and valid until the next mutation; callers must not retain or modify
-// them.
+// NeighborWeights returns id's out-neighbors and their Eq. 2 weights, a
+// slice of the flat per-edge weight row. The returned slices are owned by
+// the graph and valid until the next mutation; callers must not retain or
+// modify them.
 func (g *Graph) NeighborWeights(id int) ([]int, []float64) {
 	g.compact()
 	a, b := g.rowStart[id], g.rowStart[id+1]
-	if g.wStamp[id] != g.version {
-		for s := a; s < b; s++ {
-			g.wRow[s] = g.linkWeight(&g.links[s])
-		}
-		g.wStamp[id] = g.version
-	}
 	return g.cols[a:b], g.wRow[a:b]
 }
 
@@ -343,31 +355,14 @@ func (g *Graph) NeighborWeights(id int) ([]int, []float64) {
 func (g *Graph) InNeighborWeights(id int) ([]int, []float64) {
 	g.compact()
 	a, b := g.rRowStart[id], g.rRowStart[id+1]
-	if g.rwStamp[id] != g.version {
-		for s := a; s < b; s++ {
-			g.rW[s] = g.linkWeight(&g.links[g.rSlot[s]])
-		}
-		g.rwStamp[id] = g.version
-	}
 	return g.rCols[a:b], g.rW[a:b]
 }
 
-// MaterializeWeights brings every forward and reverse weight row up to
-// date, so that subsequent NeighborWeights / InNeighborWeights calls are
-// pure reads. The Brain calls it once before fanning batch work out
-// across goroutines: workers then share the graph without
-// synchronization.
-func (g *Graph) MaterializeWeights() {
-	if g.matVer == g.version && len(g.pending) == 0 {
-		return
-	}
-	g.compact()
-	for id := 0; id < g.N; id++ {
-		g.NeighborWeights(id)
-		g.InNeighborWeights(id)
-	}
-	g.matVer = g.version
-}
+// MaterializeWeights compacts pending edge inserts, so that subsequent
+// NeighborWeights / InNeighborWeights calls are pure reads. The Brain
+// calls it once before fanning batch work out across goroutines: workers
+// then share the graph without synchronization.
+func (g *Graph) MaterializeWeights() { g.compact() }
 
 // LinkOverloaded reports whether the from→to link or either endpoint is at
 // or beyond the overload target.
@@ -429,8 +424,9 @@ func (g *Graph) Clone() *Graph {
 	c.rRowStart = append([]int32(nil), g.rRowStart...)
 	c.rCols = append([]int(nil), g.rCols...)
 	c.rSlot = append([]int32(nil), g.rSlot...)
-	c.wRow = make([]float64, len(g.links))
-	c.rW = make([]float64, len(g.links))
+	c.fRev = append([]int32(nil), g.fRev...)
+	c.wRow = append([]float64(nil), g.wRow...)
+	c.rW = append([]float64(nil), g.rW...)
 	for k, v := range g.eIdx {
 		c.eIdx[k] = v
 	}

@@ -191,3 +191,70 @@ func TestNeighborWeightsInvalidation(t *testing.T) {
 		t.Fatalf("cache disagrees with Weight after SetNodeUtil")
 	}
 }
+
+// checkRows asserts every cached forward and reverse weight equals
+// Weight(from, to) bit for bit, and that the rows cover every edge.
+func checkRows(t *testing.T, g *Graph, step int) {
+	t.Helper()
+	out, in := 0, 0
+	for id := 0; id < g.N; id++ {
+		nbrs, ws := g.NeighborWeights(id)
+		for i, nb := range nbrs {
+			if want := g.Weight(id, nb); math.Float64bits(ws[i]) != math.Float64bits(want) {
+				t.Fatalf("step %d: forward %d->%d = %v, want %v", step, id, nb, ws[i], want)
+			}
+		}
+		rnbrs, rws := g.InNeighborWeights(id)
+		for i, nb := range rnbrs {
+			if want := g.Weight(nb, id); math.Float64bits(rws[i]) != math.Float64bits(want) {
+				t.Fatalf("step %d: reverse %d->%d = %v, want %v", step, nb, id, rws[i], want)
+			}
+		}
+		out += len(nbrs)
+		in += len(rnbrs)
+	}
+	if out != g.Edges() || in != g.Edges() {
+		t.Fatalf("step %d: rows cover %d out / %d in edges, want %d", step, out, in, g.Edges())
+	}
+}
+
+// TestWeightRowsMatchWeightUnderMutation drives a random mix of link
+// inserts (some still pending when later mutations land on them), link
+// and node updates, failures and clones, and checks after every step
+// that the patched weight rows equal a from-scratch Eq. 2 evaluation.
+func TestWeightRowsMatchWeightUnderMutation(t *testing.T) {
+	const n = 12
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := sim.NewSource(seed).Stream("rows")
+		g := New(n)
+		pair := func() (int, int) { return rng.Intn(n), rng.Intn(n) }
+		for step := 0; step < 300; step++ {
+			// 1-3 mutations per step, so some land before the next
+			// compaction and hit pending slots.
+			for ops := 1 + rng.Intn(3); ops > 0; ops-- {
+				switch rng.Intn(7) {
+				case 0, 1: // insert or update
+					a, b := pair()
+					g.SetLink(a, b, time.Duration(1+rng.Intn(200))*time.Millisecond,
+						rng.Float64()*0.05, rng.Float64())
+				case 2:
+					a, b := pair()
+					g.SetLinkDown(a, b, rng.Bernoulli(0.5))
+				case 3, 4:
+					g.SetNodeUtil(rng.Intn(n), rng.Float64())
+				case 5:
+					g.SetNodeDown(rng.Intn(n), rng.Bernoulli(0.3))
+				case 6:
+					if rng.Bernoulli(0.3) {
+						old := g
+						g = g.Clone()
+						// Mutating the clone must leave the original's rows intact.
+						g.SetNodeUtil(rng.Intn(n), rng.Float64())
+						checkRows(t, old, step)
+					}
+				}
+			}
+			checkRows(t, g, step)
+		}
+	}
+}

@@ -40,6 +40,7 @@ type Spec struct {
 func Specs() []Spec {
 	return []Spec{
 		{Name: "BrainLookup", Func: BrainLookup},
+		{Name: "BrainLookupUnderReports", Func: BrainLookupUnderReports},
 		{Name: "BrainPaperScale", Func: BrainPaperScale},
 		{Name: "BrainPaperScale2000", Func: BrainPaperScale2000},
 		{Name: "BrainEpochChurn", Func: BrainEpochChurn},
@@ -381,8 +382,37 @@ func BrainLookup(b *testing.B) {
 	}
 }
 
+// BrainLookupUnderReports measures viewer lookups on the paper-scale
+// fleet while Global Discovery reports churn the view: one ReportLink and
+// one ReportNodeLoad (what one NodeReport datagram carries) per four
+// lookups, and a routing epoch every 100 lookups. Each report bumps the
+// view version, so lookups that miss the PIB rebuild their producer's
+// SSSP tree and the consumer's reverse distances on freshly patched
+// weight rows. One op is one lookup.
+func BrainLookupUnderReports(b *testing.B) {
+	f := newPaperFleet(paperN)
+	rng := sim.NewSource(11).Stream("lookups")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%4 == 0 {
+			l := f.links[rng.Intn(len(f.links))]
+			jitter := time.Duration(1+rng.Intn(7)) * time.Millisecond
+			f.br.ReportLink(l[0], l[1], f.world.RTT(l[0], l[1])+jitter, 0.0005, rng.Float64()*0.5)
+			f.br.ReportNodeLoad(l[0], rng.Float64()*0.5)
+		}
+		if i%100 == 99 {
+			f.br.AdvanceEpoch()
+		}
+		sid := f.sids[rng.Intn(len(f.sids))]
+		if _, err := f.br.Lookup(sid, rng.Intn(f.n)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // GraphNeighborWeights measures the CSR expansion read the Dijkstra inner
-// loop runs on: with materialized weight rows it must be two slice
+// loop runs on: once pending inserts are compacted it is two slice
 // headers, zero allocations.
 func GraphNeighborWeights(b *testing.B) {
 	const n = 64
